@@ -192,7 +192,7 @@ func (c *Client) connection(e exec.Env, addr string) (*Connection, error) {
 	c.mu.Lock()
 	conn := c.conns[key]
 	c.mu.Unlock()
-	if conn != nil && !conn.closed {
+	if conn != nil && !conn.isClosed() {
 		return conn, nil
 	}
 	if conn != nil {
@@ -414,7 +414,7 @@ func (c *Client) issue(e exec.Env, addr, protocol, method string, param, reply w
 	conn.addCall(id, f)
 
 	conn.sendMu.lock(e)
-	if conn.closed {
+	if conn.isClosed() {
 		conn.sendMu.unlock()
 		conn.takeCall(id)
 		return c.failedFutureSpan(e, span, protocol, method, ErrClosed)

@@ -1,11 +1,13 @@
+//go:build go1.23
+
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
-// The kernel runs simulated processes as goroutines but enforces strictly
-// cooperative, one-at-a-time execution: exactly one goroutine (either the
-// kernel loop or a single process) is runnable at any instant, and control
-// is handed off explicitly through per-process channels. All simulator state
-// may therefore be accessed without locks, and a run is bit-for-bit
-// reproducible given the same seed.
+// Simulated processes are coroutines (iter.Pull): a process runs only when
+// the kernel resumes it, and it hands control back by blocking, so exactly
+// one of the kernel loop or a single process executes at any instant. A
+// switch is a direct coroutine transfer with no scheduler round trip and no
+// allocation. All simulator state may therefore be accessed without locks,
+// and a run is bit-for-bit reproducible given the same seed.
 //
 // Time is virtual. Processes advance it only by blocking: Sleep, queue
 // operations (see Queue), and resource acquisition (see Resource). Events
@@ -14,8 +16,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
 	"math/rand"
 	"time"
 )
@@ -28,12 +30,7 @@ type Sim struct {
 	events eventHeap
 	rng    *rand.Rand
 
-	// yield is signalled by a process when it blocks or exits, returning
-	// control to the kernel loop.
-	yield chan struct{}
-
 	live     int // processes spawned and not yet finished
-	procSeq  int
 	panicVal any
 	panicLoc string
 	stopped  bool
@@ -41,10 +38,7 @@ type Sim struct {
 
 // New returns a simulator whose random source is seeded with seed.
 func New(seed int64) *Sim {
-	return &Sim{
-		rng:   rand.New(rand.NewSource(seed)),
-		yield: make(chan struct{}),
-	}
+	return &Sim{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -65,22 +59,52 @@ type event struct {
 	fn  func()
 }
 
+// eventHeap is a binary min-heap of events ordered by (at, seq). Its push and
+// pop are typed, so an event is never boxed in an interface.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	e := q[0]
+	q[0] = q[n]
+	q[n] = event{} // drop the fn reference so the backing array does not pin it
+	q = q[:n]
+	*h = q
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && q.less(l, least) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && q.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
 	return e
 }
 
@@ -91,7 +115,7 @@ func (s *Sim) schedule(at time.Duration, fn func()) {
 		at = s.now
 	}
 	s.seq++
-	heap.Push(&s.events, event{at: at, seq: s.seq, fn: fn})
+	s.events.push(event{at: at, seq: s.seq, fn: fn})
 }
 
 // At schedules fn to run in kernel context at absolute virtual time at.
@@ -119,7 +143,7 @@ func (s *Sim) RunUntil(until time.Duration) time.Duration {
 			s.now = until
 			break
 		}
-		e := heap.Pop(&s.events).(event)
+		e := s.events.pop()
 		s.now = e.at
 		e.fn()
 		s.checkPanic()
@@ -137,7 +161,7 @@ func (s *Sim) RunBefore(w time.Duration) time.Duration {
 		if s.events[0].at >= w {
 			break
 		}
-		e := heap.Pop(&s.events).(event)
+		e := s.events.pop()
 		s.now = e.at
 		e.fn()
 		s.checkPanic()
@@ -163,15 +187,23 @@ func (s *Sim) checkPanic() {
 	}
 }
 
-// Proc is a simulated process. All blocking primitives (Sleep, queue and
-// resource operations) take the calling process so the kernel knows whom to
-// suspend; a Proc must only ever be used by the goroutine running it.
+// Proc is a simulated process: a coroutine the kernel resumes from events.
+// All blocking primitives (Sleep, queue and resource operations) take the
+// calling process so the kernel knows whom to suspend; a Proc must only be
+// passed to blocking primitives from inside its own body. A process that
+// calls runtime.Goexit (as t.FailNow does) also ends the goroutine running
+// the kernel, since the coroutine propagates it through next.
 type Proc struct {
-	sim    *Sim
-	name   string
-	id     int
-	resume chan struct{}
-	dead   bool
+	sim  *Sim
+	name string
+
+	// next resumes the coroutine until it next blocks or returns; yield,
+	// called from inside the coroutine, suspends it back to next's caller.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	// resumeFn is p.resume bound once at spawn, so every wake schedules the
+	// same func value and allocates nothing.
+	resumeFn func()
 }
 
 // Name returns the process name given at Spawn.
@@ -187,64 +219,52 @@ func (p *Proc) Now() time.Duration { return p.sim.now }
 // current virtual time. It can be called before Run or from a running
 // process or kernel callback.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
-	s.procSeq++
-	p := &Proc{sim: s, name: name, id: s.procSeq, resume: make(chan struct{})}
-	s.live++
-	s.schedule(s.now, func() {
-		go p.run(fn)
-		<-s.yield
-	})
-	return p
+	return s.spawnAt(s.now, name, fn)
 }
 
 // SpawnAt is Spawn with a start delay.
 func (s *Sim) SpawnAt(d time.Duration, name string, fn func(p *Proc)) *Proc {
-	s.procSeq++
-	p := &Proc{sim: s, name: name, id: s.procSeq, resume: make(chan struct{})}
-	s.live++
-	s.schedule(s.now+d, func() {
-		go p.run(fn)
-		<-s.yield
+	return s.spawnAt(s.now+d, name, fn)
+}
+
+func (s *Sim) spawnAt(at time.Duration, name string, fn func(p *Proc)) *Proc {
+	p := &Proc{sim: s, name: name}
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		p.run(fn)
 	})
+	p.resumeFn = p.resume
+	s.live++
+	s.schedule(at, p.resumeFn)
 	return p
 }
 
+// run is the coroutine body. A panic is recorded rather than propagated so
+// the kernel can re-raise it with the virtual time and process name.
 func (p *Proc) run(fn func(*Proc)) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.sim.panicVal = r
 			p.sim.panicLoc = p.name
 		}
-		p.dead = true
 		p.sim.live--
-		p.sim.yield <- struct{}{}
 	}()
 	fn(p)
 }
 
+// resume runs the process until it blocks or returns. Kernel context only.
+func (p *Proc) resume() { p.next() }
+
 // block suspends the process until something calls wake. It must only be
-// invoked by the process's own goroutine.
-func (p *Proc) block() {
-	p.sim.yield <- struct{}{}
-	<-p.resume
-}
+// invoked from inside the process's own body.
+func (p *Proc) block() { p.yield(struct{}{}) }
 
 // wake schedules the process to resume at the current virtual time. It must
 // be called with the kernel or another process in control, never by p itself.
-func (p *Proc) wake() {
-	p.sim.schedule(p.sim.now, func() {
-		p.resume <- struct{}{}
-		<-p.sim.yield
-	})
-}
+func (p *Proc) wake() { p.sim.schedule(p.sim.now, p.resumeFn) }
 
 // wakeAt schedules the process to resume at absolute time at.
-func (p *Proc) wakeAt(at time.Duration) {
-	p.sim.schedule(at, func() {
-		p.resume <- struct{}{}
-		<-p.sim.yield
-	})
-}
+func (p *Proc) wakeAt(at time.Duration) { p.sim.schedule(at, p.resumeFn) }
 
 // Sleep suspends the process for d of virtual time.
 func (p *Proc) Sleep(d time.Duration) {

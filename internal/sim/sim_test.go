@@ -89,15 +89,79 @@ func TestRunUntilHorizon(t *testing.T) {
 	}
 }
 
-func TestProcPanicPropagates(t *testing.T) {
+// runPanic runs fn and returns the string it panicked with ("" if none).
+func runPanic(fn func()) (msg string) {
 	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic to propagate from process")
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
 		}
 	}()
+	fn()
+	return ""
+}
+
+func TestProcPanicPropagates(t *testing.T) {
 	s := New(1)
-	s.Spawn("boom", func(p *Proc) { panic("boom") })
-	s.Run()
+	s.Spawn("bystander", func(p *Proc) { p.Sleep(time.Second) })
+	s.Spawn("boom", func(p *Proc) {
+		p.Sleep(3 * time.Millisecond)
+		panic("kaboom")
+	})
+	msg := runPanic(func() { s.Run() })
+	want := "sim: process panic at t=3ms in boom: kaboom"
+	if msg != want {
+		t.Fatalf("panic = %q, want %q", msg, want)
+	}
+}
+
+func TestShardedProcPanicReraised(t *testing.T) {
+	ss := NewSharded(1, 2, time.Millisecond)
+	defer ss.Close()
+	ss.Shard(1).Sim().Spawn("shard-boom", func(p *Proc) {
+		p.Sleep(2 * time.Millisecond)
+		panic("kaboom")
+	})
+	msg := runPanic(func() { ss.Run() })
+	want := "sim: process panic at t=2ms in shard-boom: kaboom"
+	if msg != want {
+		t.Fatalf("panic = %q, want %q", msg, want)
+	}
+}
+
+func TestBlockedProcessDoesNotWedgeRun(t *testing.T) {
+	s := New(1)
+	q := s.NewQueue(0)
+	s.Spawn("stuck", func(p *Proc) { q.Get(p) })
+	finished := false
+	s.Spawn("finisher", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		finished = true
+	})
+	if end := s.Run(); end != time.Millisecond {
+		t.Fatalf("Run ended at %v, want 1ms", end)
+	}
+	if !finished {
+		t.Fatal("finisher did not run")
+	}
+	if s.Live() != 1 {
+		t.Fatalf("Live() = %d, want 1 (the blocked process)", s.Live())
+	}
+}
+
+func TestProcSwitchAllocatesNothing(t *testing.T) {
+	s := New(1)
+	s.Spawn("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	step := func() { s.RunUntil(s.Now() + time.Microsecond) }
+	for i := 0; i < 100; i++ {
+		step() // warm: grow the event heap to its steady size
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("Sleep/wake switch allocates %v per op, want 0", allocs)
+	}
 }
 
 func TestQueueBasicFIFO(t *testing.T) {
