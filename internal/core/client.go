@@ -250,20 +250,7 @@ func (c *Client) reapIdle(e exec.Env, keep connKey) {
 	now := e.Now()
 	c.mu.Lock()
 	var idle []*Connection
-	keys := make([]connKey, 0, len(c.conns))
-	for k := range c.conns {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].addr != keys[j].addr {
-			return keys[i].addr < keys[j].addr
-		}
-		if keys[i].fallback != keys[j].fallback {
-			return !keys[i].fallback
-		}
-		return keys[i].rail < keys[j].rail
-	})
-	for _, k := range keys {
+	for _, k := range c.sortedConnKeys() {
 		if k == keep {
 			continue
 		}
@@ -280,6 +267,26 @@ func (c *Client) reapIdle(e exec.Env, keep connKey) {
 	for _, conn := range idle {
 		conn.fail(ErrClosed)
 	}
+}
+
+// sortedConnKeys lists the cached connections' keys in a fixed order, so
+// teardown fails them, and wakes their callers, the same way on every run.
+// The caller holds c.mu.
+func (c *Client) sortedConnKeys() []connKey {
+	keys := make([]connKey, 0, len(c.conns))
+	for k := range c.conns {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].addr != keys[j].addr {
+			return keys[i].addr < keys[j].addr
+		}
+		if keys[i].fallback != keys[j].fallback {
+			return !keys[i].fallback
+		}
+		return keys[i].rail < keys[j].rail
+	})
+	return keys
 }
 
 func (conn *Connection) addCall(id int32, f *Future) {
@@ -348,8 +355,15 @@ func (conn *Connection) fail(err error) {
 		}
 	}
 	conn.tc.Close()
-	for _, f := range pending {
-		f.replyQ.Close()
+	// Wake the callers in call-id order: each Close schedules a wake, and
+	// map order would reorder same-instant resumes from run to run.
+	ids := make([]int32, 0, len(pending))
+	for id := range pending {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		pending[id].replyQ.Close()
 	}
 }
 
@@ -635,8 +649,8 @@ func (conn *Connection) receiveLoop(e exec.Env) {
 func (c *Client) Close() {
 	c.mu.Lock()
 	conns := make([]*Connection, 0, len(c.conns))
-	for _, conn := range c.conns {
-		conns = append(conns, conn)
+	for _, k := range c.sortedConnKeys() {
+		conns = append(conns, c.conns[k])
 	}
 	c.conns = map[connKey]*Connection{}
 	c.mu.Unlock()

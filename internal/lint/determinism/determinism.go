@@ -13,10 +13,10 @@
 //     seeded sources (rand.New(rand.NewSource(seed))) are allowed: they are
 //     deterministic by construction;
 //   - range-over-map loops whose body drives order-sensitive effects (queue
-//     puts, transport sends, process spawns, formatted output — and, since
-//     S22, kernel scheduling and cross-shard merge traffic: At/After/Post/
-//     PostAt/LocalAt/Push/Emit): map iteration order varies between runs,
-//     so such loops must iterate a sorted key slice instead;
+//     puts, transport sends, process spawns, closes, formatted output — and,
+//     since S22, kernel scheduling and cross-shard merge traffic: At/After/
+//     Post/PostAt/LocalAt/Push/Emit): map iteration order varies between
+//     runs, so such loops must iterate a sorted key slice instead;
 //   - select statements with more than one communication case (S22): when
 //     several cases are ready the runtime picks uniformly at random, so
 //     shard-worker hand-offs must use a single-case receive (or the
@@ -73,6 +73,9 @@ var orderSensitive = map[string]bool{
 	"Put": true, "TryPut": true, "TryPutUnbounded": true,
 	"Send": true, "SendSized": true, "SendPooled": true,
 	"Spawn": true,
+	// Closing a connection or queue sends a teardown frame or wakes its
+	// waiters, each in issue order.
+	"Close": true,
 	// S22 sharded-kernel surface: event scheduling and cross-shard merge
 	// traffic observe their issue order (event seq numbers, mailbox keys).
 	"At": true, "After": true, "Post": true, "PostAt": true,

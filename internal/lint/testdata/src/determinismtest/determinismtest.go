@@ -44,6 +44,19 @@ func fanout(q *queue, m map[string]int) {
 	_ = keys
 }
 
+type conn struct{}
+
+func (c *conn) Close() {}
+
+// teardown covers Close: closing a connection sends a teardown frame or
+// wakes its waiters, so closing a map of connections in map order
+// diverges replays.
+func teardown(m map[string]*conn) {
+	for _, c := range m {
+		c.Close() // want `Close inside a range over a map`
+	}
+}
+
 type mailbox struct{}
 
 func (mb *mailbox) Post(dst int, v any) {}

@@ -155,8 +155,16 @@ func (c *childTask) runReduce(e exec.Env) {
 	// Shuffle: poll for completion events, fetch per-tracker batches.
 	conns := map[string]transport.Conn{}
 	defer func() {
-		for _, conn := range conns {
-			conn.Close()
+		// Close in address order: each Close sends a teardown frame, and
+		// the frames' order on the NICs moves the timing of later traffic,
+		// so map order made replays diverge.
+		addrs := make([]string, 0, len(conns))
+		for a := range conns {
+			addrs = append(addrs, a)
+		}
+		sort.Strings(addrs)
+		for _, a := range addrs {
+			conns[a].Close()
 		}
 	}()
 	var shuffled int64

@@ -9,6 +9,7 @@ import (
 	"rpcoib/internal/core"
 	"rpcoib/internal/exec"
 	"rpcoib/internal/hdfs"
+	"rpcoib/internal/netsim"
 	"rpcoib/internal/perfmodel"
 	"rpcoib/internal/trace"
 )
@@ -291,5 +292,63 @@ func TestSchedulerLocality(t *testing.T) {
 	}
 	if launched != 8 {
 		t.Fatalf("launched=%d want 8", launched)
+	}
+}
+
+// transferLog is a netsim.FaultHook that records every inter-node transfer
+// and lets it through untouched.
+type transferLog []string
+
+func (l *transferLog) OnTransfer(src, dst, size int) netsim.FaultOutcome {
+	*l = append(*l, fmt.Sprintf("%d>%d:%d", src, dst, size))
+	return netsim.FaultOutcome{}
+}
+
+// TestSortJobTransfersReplay runs the same small sort job in fresh
+// deployments and requires the identical sequence of fabric transfers.
+// Each reduce fetches from several trackers and closes those shuffle
+// connections when it finishes; closing them in map iteration order sent
+// the teardown frames in a different order on every run, which moved the
+// Fig 6(a) 128 GB baseline Sort time between processes.
+func TestSortJobTransfersReplay(t *testing.T) {
+	run := func() transferLog {
+		d := newTestDeployment(t, 4, core.ModeBaseline, nil)
+		var log transferLog
+		d.cl.Fabric(perfmodel.IPoIB).SetFaultHook(&log)
+		client := 5
+		done := false
+		d.cl.SpawnOn(client, "submitter", func(e exec.Env) {
+			files, sizes := writeInputs(t, e, d, client, 8, 4<<20)
+			if files == nil {
+				return
+			}
+			_, err := d.mr.RunJob(e, client, SubmitJobParam{
+				Name: "sort", NumReduces: 8,
+				InputFiles: files, InputSizes: sizes,
+				OutputPath: "/out", OutputReplication: 1,
+				WritesHDFSOutput: true,
+			})
+			if err != nil {
+				t.Error(err)
+			}
+			done = true
+		})
+		d.cl.RunUntil(30 * time.Minute)
+		if !done {
+			t.Fatal("job did not finish")
+		}
+		return log
+	}
+	first := run()
+	for i := 1; i < 3; i++ {
+		again := run()
+		if len(again) != len(first) {
+			t.Fatalf("run %d made %d transfers, run 0 made %d", i, len(again), len(first))
+		}
+		for j := range first {
+			if again[j] != first[j] {
+				t.Fatalf("run %d diverged at transfer %d: %s, run 0 had %s", i, j, again[j], first[j])
+			}
+		}
 	}
 }

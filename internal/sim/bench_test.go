@@ -39,3 +39,26 @@ func BenchmarkSchedule(b *testing.B) {
 	b.ResetTimer()
 	s.Run()
 }
+
+// BenchmarkGetTimeout measures a call-style wait: a getter waits in
+// GetTimeout with a 120 s timeout and a putter delivers 1 µs later, long
+// before the timeout. One op is one delivered GetTimeout.
+func BenchmarkGetTimeout(b *testing.B) {
+	s := New(1)
+	q := s.NewQueue(0)
+	s.Spawn("getter", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			q.GetTimeout(p, 120*time.Second)
+		}
+	})
+	var boxed any = 42
+	s.Spawn("putter", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(time.Microsecond)
+			q.Put(p, boxed)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run()
+}

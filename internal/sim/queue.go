@@ -4,20 +4,42 @@ import "time"
 
 // waiter represents a process blocked on a queue or resource. The canceled
 // flag lets two competing wake sources (e.g. a delivery and a timeout) race
-// safely: whichever fires first cancels the other, and a scheduled wake
-// event for a canceled waiter is a no-op.
+// safely: whichever fires first cancels the other, and a canceled waiter is
+// skipped. A waiter with a deadline also holds its pending timer, which a
+// delivery stops.
 type waiter struct {
 	p        *Proc
-	val      any  // value delivered to a getter
-	ok       bool // delivery succeeded (false: queue closed or timed out)
+	val      any    // value delivered to a getter
+	t        *timer // pending GetTimeout deadline, nil once stopped or fired
+	n        int64  // units requested (resources) / element delivered (queues)
+	ok       bool   // delivery succeeded (false: queue closed or timed out)
 	canceled bool
-	n        int64 // units requested (resources) / element delivered (queues)
+	timedOut bool // the deadline fired before any delivery
 }
 
+// deliver hands the waiter its result, stops its deadline and wakes it.
 func (w *waiter) deliver(v any, ok bool) {
 	w.val, w.ok = v, ok
-	w.canceled = true // consume the waiter; competing timeout becomes no-op
+	w.canceled = true // consume the waiter so no other source wakes it
+	if w.t != nil {
+		w.p.sim.stopTimer(w.t)
+		w.t = nil
+	}
 	w.p.wake()
+}
+
+// expire is the deadline firing first: the waiter is consumed, marked timed
+// out and woken. Kernel context only; the timer has already left the heap.
+func (w *waiter) expire() {
+	w.t = nil
+	w.canceled, w.timedOut = true, true
+	w.p.wake()
+}
+
+// timedWaiter is a getter and its deadline in one allocation.
+type timedWaiter struct {
+	waiter
+	timer
 }
 
 // Queue is a FIFO channel between simulated processes. A capacity of zero or
@@ -66,28 +88,36 @@ func (q *Queue) Close() {
 	}
 }
 
-// popGetter removes and returns the first live getter, if any.
-func (q *Queue) popGetter() *waiter {
-	for len(q.getters) > 0 {
-		w := q.getters[0]
-		q.getters = q.getters[1:]
-		if !w.canceled {
+// popFront removes and returns the head of a FIFO slice, clearing its slot
+// so the backing array does not pin it. A slice emptied this way keeps its
+// backing array, so a FIFO that drains between uses does not reallocate.
+func popFront[T any](s *[]T) T {
+	q := *s
+	v := q[0]
+	var zero T
+	q[0] = zero
+	if len(q) == 1 {
+		*s = q[:0]
+	} else {
+		*s = q[1:]
+	}
+	return v
+}
+
+// popLive removes and returns the first waiter that is not canceled, if any.
+func popLive(ws *[]*waiter) *waiter {
+	for len(*ws) > 0 {
+		if w := popFront(ws); !w.canceled {
 			return w
 		}
 	}
 	return nil
 }
 
-func (q *Queue) popPutter() *waiter {
-	for len(q.putters) > 0 {
-		w := q.putters[0]
-		q.putters = q.putters[1:]
-		if !w.canceled {
-			return w
-		}
-	}
-	return nil
-}
+// popGetter removes and returns the first live getter, if any.
+func (q *Queue) popGetter() *waiter { return popLive(&q.getters) }
+
+func (q *Queue) popPutter() *waiter { return popLive(&q.putters) }
 
 // Put appends v, blocking p while a bounded queue is full. Putting to a
 // closed queue drops the value and returns false.
@@ -147,9 +177,7 @@ func (q *Queue) take() (any, bool) {
 	if len(q.items) == 0 {
 		return nil, false
 	}
-	v := q.items[0]
-	q.items[0] = nil
-	q.items = q.items[1:]
+	v := popFront(&q.items)
 	// A freed slot may unblock a putter.
 	if pw := q.popPutter(); pw != nil {
 		q.items = append(q.items, pw.val)
@@ -185,7 +213,9 @@ func (q *Queue) Get(p *Proc) (v any, ok bool) {
 func (q *Queue) TryGet() (v any, ok bool) { return q.take() }
 
 // GetTimeout is Get bounded by a timeout. timedOut reports that the timeout
-// fired before an element arrived.
+// fired before an element arrived. The timeout is a cancelable timer: a
+// delivery or Close that beats it stops it, so it leaves nothing pending and
+// does not extend Run.
 func (q *Queue) GetTimeout(p *Proc, d time.Duration) (v any, ok, timedOut bool) {
 	if v, ok := q.take(); ok {
 		return v, true, false
@@ -196,19 +226,13 @@ func (q *Queue) GetTimeout(p *Proc, d time.Duration) (v any, ok, timedOut bool) 
 	if d <= 0 {
 		return nil, false, true
 	}
-	w := &waiter{p: p}
+	tw := &timedWaiter{}
+	w := &tw.waiter
+	w.p, w.t, tw.timer.w = p, &tw.timer, w
 	q.getters = append(q.getters, w)
-	timeout := false
-	q.s.After(d, func() {
-		if w.canceled {
-			return
-		}
-		w.canceled = true
-		timeout = true
-		p.wake()
-	})
+	q.s.startTimer(&tw.timer, d)
 	p.block()
-	if timeout {
+	if w.timedOut {
 		return nil, false, true
 	}
 	return w.val, w.ok, false

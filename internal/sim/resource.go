@@ -66,13 +66,13 @@ func (r *Resource) Release(n int64) {
 	for len(r.waiters) > 0 {
 		w := r.waiters[0]
 		if w.canceled {
-			r.waiters = r.waiters[1:]
+			popFront(&r.waiters)
 			continue
 		}
 		if r.inUse+w.n > r.capacity {
 			break
 		}
-		r.waiters = r.waiters[1:]
+		popFront(&r.waiters)
 		r.inUse += w.n
 		r.grants++
 		w.deliver(nil, true)

@@ -263,12 +263,150 @@ func TestQueueGetTimeoutDeliveryWins(t *testing.T) {
 		q.Put(p, 42)
 	})
 	end := s.Run()
-	if timedOut || v.(int) != 42 {
+	if timedOut || v != 42 {
 		t.Fatalf("v=%v timedOut=%v", v, timedOut)
 	}
-	// The stale timeout event still fires at 10ms but must be a no-op.
-	if end != 10*time.Millisecond {
-		t.Fatalf("end=%v", end)
+	// The delivery stopped the 10ms timer, so the run ends at the delivery.
+	if end != time.Millisecond {
+		t.Fatalf("end=%v, want 1ms", end)
+	}
+}
+
+func TestGetTimeoutDeliveredLeavesNothingPending(t *testing.T) {
+	s := New(1)
+	q := s.NewQueue(0)
+	var v any
+	s.Spawn("getter", func(p *Proc) { v, _, _ = q.GetTimeout(p, 120*time.Second) })
+	s.Spawn("putter", func(p *Proc) {
+		p.Sleep(time.Microsecond)
+		q.Put(p, 42)
+	})
+	s.RunUntil(time.Millisecond)
+	if v != 42 {
+		t.Fatalf("v=%v, want 42", v)
+	}
+	if at, ok := s.NextEventTime(); ok {
+		t.Fatalf("NextEventTime = %v, want nothing pending", at)
+	}
+	if len(s.timers) != 0 {
+		t.Fatalf("%d timers pending, want 0", len(s.timers))
+	}
+}
+
+func TestDeliveredGetTimeoutsDoNotAccumulate(t *testing.T) {
+	const calls = 100_000
+	s := New(1)
+	q := s.NewQueue(0)
+	maxEvents, maxTimers, got := 0, 0, 0
+	s.Spawn("getter", func(p *Proc) {
+		for i := 0; i < calls; i++ {
+			if _, _, timedOut := q.GetTimeout(p, 120*time.Second); timedOut {
+				t.Errorf("call %d timed out", i)
+				return
+			}
+			got++
+			maxEvents = max(maxEvents, len(s.events))
+			maxTimers = max(maxTimers, len(s.timers))
+		}
+	})
+	s.Spawn("putter", func(p *Proc) {
+		for i := 0; i < calls; i++ {
+			p.Sleep(time.Microsecond)
+			q.Put(p, i)
+		}
+	})
+	end := s.Run()
+	if got != calls {
+		t.Fatalf("got %d deliveries, want %d", got, calls)
+	}
+	if maxEvents > 2 || maxTimers > 0 {
+		t.Fatalf("pending peaked at %d events, %d timers; want <= 2 and 0", maxEvents, maxTimers)
+	}
+	if end != calls*time.Microsecond {
+		t.Fatalf("end=%v, want %v", end, calls*time.Microsecond)
+	}
+}
+
+func TestQueueCloseCancelsTimedGetter(t *testing.T) {
+	s := New(1)
+	q := s.NewQueue(0)
+	var ok, timedOut bool
+	var at time.Duration
+	s.Spawn("getter", func(p *Proc) {
+		_, ok, timedOut = q.GetTimeout(p, 10*time.Millisecond)
+		at = p.Now()
+	})
+	s.Spawn("closer", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		q.Close()
+	})
+	end := s.Run()
+	if ok || timedOut || at != time.Millisecond {
+		t.Fatalf("ok=%v timedOut=%v at=%v, want false false 1ms", ok, timedOut, at)
+	}
+	if len(s.timers) != 0 || end != time.Millisecond {
+		t.Fatalf("%d timers pending, end=%v; want 0 and 1ms", len(s.timers), end)
+	}
+}
+
+// TestTimerAndEventSameInstantFIFO checks that a GetTimeout deadline and a
+// plain event due at the same instant fire in scheduling order, whichever
+// was scheduled first: the event delivers to the getter if it comes first,
+// and finds the getter timed out (so buffers its value) if it comes second.
+func TestTimerAndEventSameInstantFIFO(t *testing.T) {
+	const due = 5 * time.Millisecond
+	for _, timerFirst := range []bool{true, false} {
+		s := New(1)
+		q := s.NewQueue(0)
+		put := func() { q.TryPut("x") }
+		if !timerFirst {
+			s.At(due, put)
+		}
+		var v any
+		var timedOut bool
+		s.Spawn("getter", func(p *Proc) { v, _, timedOut = q.GetTimeout(p, due) })
+		s.RunUntil(0) // the getter arms its timer
+		if timerFirst {
+			s.At(due, put)
+		}
+		if len(s.timers) != 1 || len(s.events) != 1 {
+			t.Fatalf("timerFirst=%v: %d timers, %d events pending; want 1 and 1",
+				timerFirst, len(s.timers), len(s.events))
+		}
+		end := s.Run()
+		// Timer first: the getter times out and the put is buffered.
+		// Event first: the put is delivered to the getter.
+		wantV, wantBuffered := any("x"), 0
+		if timerFirst {
+			wantV, wantBuffered = nil, 1
+		}
+		if timedOut != timerFirst || v != wantV || q.Len() != wantBuffered {
+			t.Fatalf("timerFirst=%v: v=%v timedOut=%v buffered=%d", timerFirst, v, timedOut, q.Len())
+		}
+		if end != due {
+			t.Fatalf("timerFirst=%v: end=%v, want %v", timerFirst, end, due)
+		}
+	}
+}
+
+func TestGetTimeoutAllocatesOnce(t *testing.T) {
+	s := New(1)
+	q := s.NewQueue(0)
+	s.Spawn("getter", func(p *Proc) {
+		for {
+			q.GetTimeout(p, 120*time.Second)
+		}
+	})
+	var boxed any = 42
+	step := func() {
+		q.TryPut(boxed)
+		s.RunUntil(s.Now())
+	}
+	for i := 0; i < 100; i++ {
+		step() // warm: grow the heaps and the getter slice to their steady size
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs > 1 {
+		t.Fatalf("delivered GetTimeout allocates %v per op, want <= 1", allocs)
 	}
 }
 
