@@ -14,7 +14,7 @@ race:
 	$(GO) test -race ./...
 
 # Static analysis (DESIGN.md S20/S25): the project's own analyzer suite —
-# determinism, poolpair, metricnames, lockcall, statusexhaustive, plus the
+# determinism, metricnames, lockcall, statusexhaustive, plus the
 # SSA-lite interprocedural trio atomicguard, regmem, goroutineleak. Fails on
 # any finding; fix the code or add a justified marker (//lint:wallclock,
 # //lint:atomicinit, //lint:goroutine).

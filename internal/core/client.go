@@ -60,7 +60,6 @@ type ClientStats struct {
 	Calls    atomic.Int64
 	Resolved atomic.Int64
 	Errors   atomic.Int64
-	BytesOut atomic.Int64
 }
 
 // Client issues RPC calls. One Client multiplexes any number of caller
@@ -455,7 +454,6 @@ func (c *Client) issue(e exec.Env, addr, protocol, method string, param, reply w
 		tr.Child(span, "client.send", "client", sendStart+sample.Serialize, sample.Send,
 			"bytes", strconv.Itoa(sample.MsgBytes))
 	}
-	c.Stats.BytesOut.Add(int64(sample.MsgBytes))
 	c.m.bytesOut.Add(int64(sample.MsgBytes))
 	c.opts.Tracer.RecordSend(sample)
 	return f

@@ -26,18 +26,15 @@ type methodDef struct {
 	fn       MethodFunc
 }
 
-// ServerStats counts server activity. CallsShed counts admissions rejected
-// with "too busy" (ShedOverload with a full call queue); CallsExpired counts
-// calls dropped undispatched because their propagated deadline had already
-// passed. Neither is ever counted in CallsHandled: no handler ran.
+// ServerStats counts the server's overload outcomes. CallsShed counts
+// admissions rejected with "too busy" (ShedOverload with a full call queue);
+// CallsExpired counts calls dropped undispatched because their propagated
+// deadline had already passed. No handler ran for either. Received, handled
+// and failed calls and the byte totals are registry counters
+// (rpc_server_*_total).
 type ServerStats struct {
-	CallsReceived atomic.Int64
-	CallsHandled  atomic.Int64
-	CallErrors    atomic.Int64
-	CallsShed     atomic.Int64
-	CallsExpired  atomic.Int64
-	BytesIn       atomic.Int64
-	BytesOut      atomic.Int64
+	CallsShed    atomic.Int64
+	CallsExpired atomic.Int64
 }
 
 // Server is the Hadoop-style RPC server: a Listener accepting connections, a
@@ -208,8 +205,6 @@ func (s *Server) readerLoop(e exec.Env, conn transport.Conn) {
 			return
 		}
 		n := len(data)
-		s.Stats.CallsReceived.Add(1)
-		s.Stats.BytesIn.Add(int64(n))
 		s.m.callsReceived.Inc()
 		s.m.bytesIn.Add(int64(n))
 		if s.readerSem != nil {
@@ -426,10 +421,8 @@ func (s *Server) handlerLoop(e exec.Env) {
 		} else {
 			value, callErr = s.invoke(e, call)
 		}
-		s.Stats.CallsHandled.Add(1)
 		s.m.callsHandled.Inc()
 		if callErr != nil {
-			s.Stats.CallErrors.Add(1)
 			s.m.callErrors.Inc()
 		}
 
@@ -559,7 +552,6 @@ func (s *Server) responderLoop(e exec.Env) {
 				_ = r.conn.Send(e, append([]byte(nil), buf.Data[:n]...))
 			}
 			r.stream.Release()
-			s.Stats.BytesOut.Add(int64(n))
 			s.m.bytesOut.Add(int64(n))
 			observeSince(s.m.stage(r.protocol, r.method, stageRespond), e, respondStart)
 			s.closeCallSpan(e, r, respondStart)
@@ -571,7 +563,6 @@ func (s *Server) responderLoop(e exec.Env) {
 		copy(frame[4:], r.data)
 		s.work(e, cost.Copy(4+n)+cost.HeapNative(4+n)+cost.Syscall+cost.RPCOverhead)
 		_ = r.conn.Send(e, frame)
-		s.Stats.BytesOut.Add(int64(n))
 		s.m.bytesOut.Add(int64(n))
 		observeSince(s.m.stage(r.protocol, r.method, stageRespond), e, respondStart)
 		s.closeCallSpan(e, r, respondStart)

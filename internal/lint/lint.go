@@ -7,8 +7,6 @@
 //
 //	determinism      no wall clock / global PRNG / map-order effects in
 //	                 engine packages (replay invariant, S18)
-//	poolpair         every bufpool acquisition released exactly once
-//	                 (ledger invariant Gets==Puts)
 //	metricnames      metric families are package-level consts that match
 //	                 metric_names.golden both ways (S16 golden guard)
 //	lockcall         no blocking call while holding a sync mutex (the S18
@@ -18,7 +16,7 @@
 //	                 atomically everywhere, module-wide (Facts + Merge)
 //	regmem           registered buffers and MemoryBudget reservations reach
 //	                 exactly one Release on every CFG path and are never
-//	                 used afterwards
+//	                 used afterwards (ledger invariant Gets==Puts)
 //	goroutineleak    every spawned goroutine in an engine package has a
 //	                 reachable shutdown path
 //
@@ -44,7 +42,6 @@ import (
 	"rpcoib/internal/lint/loader"
 	"rpcoib/internal/lint/lockcall"
 	"rpcoib/internal/lint/metricnames"
-	"rpcoib/internal/lint/poolpair"
 	"rpcoib/internal/lint/regmem"
 	"rpcoib/internal/lint/ssalite"
 	"rpcoib/internal/lint/statusexhaustive"
@@ -53,7 +50,6 @@ import (
 // Analyzers is the full suite, in reporting order.
 var Analyzers = []*analysis.Analyzer{
 	determinism.Analyzer,
-	poolpair.Analyzer,
 	metricnames.Analyzer,
 	lockcall.Analyzer,
 	statusexhaustive.Analyzer,
@@ -101,7 +97,8 @@ type Options struct {
 	// WriteGolden regenerates the golden file from the static view instead
 	// of comparing against it.
 	WriteGolden bool
-	// Only, when non-empty, restricts the run to the named analyzers.
+	// Only, when non-empty, restricts the run to the named analyzers; a name
+	// not in Analyzers is an error rather than a silently empty run.
 	Only map[string]bool
 }
 
@@ -119,6 +116,9 @@ func (f Finding) String() string {
 // Run executes the suite over the packages matched by patterns and returns
 // every finding, sorted by position.
 func Run(patterns []string, opts Options) ([]Finding, error) {
+	if err := checkOnly(opts.Only); err != nil {
+		return nil, err
+	}
 	pkgs, err := loader.LoadModule(patterns...)
 	if err != nil {
 		return nil, err
@@ -192,6 +192,28 @@ func Run(patterns []string, opts Options) ([]Finding, error) {
 		return a.Message < b.Message
 	})
 	return findings, nil
+}
+
+// checkOnly rejects analyzer names that are not in the suite, so a typo or a
+// retired name cannot turn a gate into a run that checks nothing.
+func checkOnly(only map[string]bool) error {
+	known := map[string]bool{}
+	var names []string
+	for _, a := range Analyzers {
+		known[a.Name] = true
+		names = append(names, a.Name)
+	}
+	var unknown []string
+	for name := range only {
+		if !known[name] {
+			unknown = append(unknown, name)
+		}
+	}
+	if len(unknown) == 0 {
+		return nil
+	}
+	sort.Strings(unknown)
+	return fmt.Errorf("unknown analyzer(s) %s; the suite is %s", strings.Join(unknown, ", "), strings.Join(names, ", "))
 }
 
 // goldenFindings performs the aggregate half of metricnames: expand the

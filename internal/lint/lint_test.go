@@ -1,22 +1,23 @@
 package lint_test
 
 import (
+	"strings"
 	"testing"
 
 	"rpcoib/internal/lint"
 )
 
-// suite is the full analyzer roster TestSelfLint demands: the five AST
+// suite is the full analyzer roster TestSelfLint demands: the four AST
 // checks plus the three SSA-lite interprocedural analyzers (S25). A missing
 // name here means someone unplugged an invariant from the gate.
 var suite = []string{
-	"determinism", "poolpair", "metricnames", "lockcall",
+	"determinism", "metricnames", "lockcall",
 	"statusexhaustive", "atomicguard", "regmem", "goroutineleak",
 }
 
 // TestSelfLint runs the full suite over the module itself — the same
 // invocation as `make lint` / `go run ./cmd/rpcoiblint ./...` — and demands
-// zero findings under all eight analyzers. Every real violation must either
+// zero findings under all seven analyzers. Every real violation must either
 // be fixed or carry a justified marker (//lint:wallclock, //lint:atomicinit,
 // //lint:goroutine), and metric_names.golden must match the statically
 // enumerable family set both ways.
@@ -42,5 +43,18 @@ func TestSelfLint(t *testing.T) {
 	}
 	for _, f := range findings {
 		t.Errorf("%s", f)
+	}
+}
+
+// TestRunUnknownAnalyzer: -only with a name outside the suite (a typo, or an
+// analyzer that has been retired) must fail loudly instead of running nothing
+// and reporting a clean module.
+func TestRunUnknownAnalyzer(t *testing.T) {
+	_, err := lint.Run([]string{"rpcoib/internal/sim"}, lint.Options{Only: map[string]bool{"regmem": true, "regmme": true, "poolpair": true}})
+	if err == nil {
+		t.Fatal("lint.Run accepted unknown analyzers")
+	}
+	if want := "unknown analyzer(s) poolpair, regmme;"; !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("error %q, want prefix %q", err, want)
 	}
 }

@@ -1,13 +1,17 @@
-// Package regmem extends poolpair's registered-memory obligation tracking
-// from statement-tree path walking to genuine CFG dataflow (Pass.SSA), and
-// from buffers alone to MemoryBudget reservations.
+// Package regmem checks registered-memory obligations with CFG dataflow
+// (Pass.SSA): every bufpool buffer and every ibverbs.MemoryBudget
+// reservation must reach exactly one release on every path, and must never
+// be touched after it.
 //
 // Registered memory is the scarcest resource in the design: the paper pins
 // and registers every pool buffer with the HCA, and the million-client work
-// (DESIGN.md S23) rations it through ibverbs.MemoryBudget. Two bug classes
-// survive poolpair's conservative walk and show up in RDMAbox-style
-// transports as corruption or slow leaks:
+// (DESIGN.md S23) rations it through ibverbs.MemoryBudget. The bug classes
+// show up in RDMAbox-style transports as corruption or slow leaks:
 //
+//   - the leak: a Get/Acquire whose buffer never returns to the pool, on
+//     some or all paths, or whose result is discarded outright.
+//   - the double owner: a buffer Put twice, or overwritten while still
+//     held, so the pool's free list and a live caller share one region.
 //   - the stale reference: a buffer used — read, sent, returned, released
 //     again — after its Put/Release. The pool may already have handed the
 //     registered region to another stream; writes land in someone else's
@@ -17,9 +21,9 @@
 //     under the S23 admission path that is a permanent capacity loss.
 //
 // The analyzer runs a forward worklist solve over each function's ssalite
-// CFG. Buffer obligations (bufpool Get/Acquire/Grow, exactly as poolpair
-// recognizes them) are tracked through held / released / transferred
-// states; budget reservations are created branch-sensitively on the success
+// CFG. Buffer obligations (bufpool Get/Acquire/Grow; Put/Release/Grow
+// release) are tracked through held / released / transferred states;
+// budget reservations are created branch-sensitively on the success
 // edge of `if b.TryReserve(n)` (and the negated form) and keyed by the
 // receiver's spelling. It reports:
 //
@@ -31,14 +35,15 @@
 //     all — the early-return leak (a reservation held on *every* path is
 //     presumed handed to an owner object that releases in Close, as the SRQ
 //     constructor does, and stays quiet);
-//   - a TryReserve whose boolean result is discarded: on success the
-//     reservation is unrecoverable.
+//   - a held buffer overwritten by a second acquisition;
+//   - a Get/Acquire or TryReserve whose result is discarded: on success the
+//     buffer or reservation is unrecoverable.
 //
 // Obligations follow calls: passing a held buffer to a package-local
 // function consults a computed summary of that callee (releases always /
 // sometimes / never / escapes), so a release hidden one call down is seen
-// rather than treated as an escape. Unknown callees escape the obligation,
-// exactly as in poolpair. Releases inside defer statements satisfy
+// rather than treated as an escape. Unknown callees, returns and stores into
+// fields escape the obligation. Releases inside defer statements satisfy
 // obligations at every exit.
 package regmem
 
@@ -606,7 +611,7 @@ func (c *checker) staleUse(f fact, k okey, o obl, pos token.Pos) fact {
 	case transferred:
 		c.reportf(pos, "pool buffer %q was %s at %s and must not be retained by the sender", k.v.Name(), o.how, c.pos(o.evPos))
 	case held:
-		// Whole-value use while held: the obligation escapes (poolpair's
+		// Whole-value use while held: the obligation escapes (the
 		// conservative contract).
 		out := f.clone()
 		delete(out, k)
@@ -634,9 +639,9 @@ func (c *checker) useWhole(f fact, k okey, o obl, pos token.Pos, what string) fa
 	return out
 }
 
-// scan walks an expression for uses of tracked buffers, mirroring poolpair's
-// protected positions: selector bases and nil comparisons of held buffers
-// are fine; the same through a released buffer is the stale-reference bug.
+// scan walks an expression for uses of tracked buffers. Selector bases and
+// nil comparisons of held buffers are fine; the same through a released
+// buffer is the stale-reference bug.
 func (c *checker) scan(f fact, e ast.Expr) fact {
 	if e == nil {
 		return f
@@ -670,9 +675,9 @@ func (c *checker) scan(f fact, e ast.Expr) fact {
 	case *ast.CallExpr:
 		return c.call(f, n)
 	case *ast.FuncLit:
-		// Whole-closure capture: a release inside satisfies the obligation
-		// (poolpair parity); any other capture of a held buffer escapes it,
-		// and capture of a released one is stale.
+		// Whole-closure capture: a release inside satisfies the obligation;
+		// any other capture of a held buffer escapes it, and capture of a
+		// released one is stale.
 		ast.Inspect(n.Body, func(m ast.Node) bool {
 			if call, ok := m.(*ast.CallExpr); ok {
 				f = c.applyBufReleases(f, call)
@@ -813,7 +818,7 @@ func (ps *pkgState) bufferParams(fn *ssalite.Func) map[int]*types.Var {
 	return out
 }
 
-// ---- recognizers (poolpair- and scale.go-shaped) ----
+// ---- recognizers (bufpool- and scale.go-shaped) ----
 
 // bufAcquireName reports the method name if call acquires a pool buffer.
 func (ps *pkgState) bufAcquireName(call *ast.CallExpr) string {

@@ -31,7 +31,7 @@
 //     `select {}` and an empty-body for loop have no successors at all.
 //   - Defer bodies are not in the CFG (they run at exit, after the facts
 //     under analysis are settled); they are collected in Func.Defers for
-//     analyzers that credit deferred cleanup, mirroring poolpair.
+//     analyzers that credit deferred cleanup (regmem's deferred Release).
 package ssalite
 
 import (

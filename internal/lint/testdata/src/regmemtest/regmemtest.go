@@ -2,6 +2,11 @@
 // analyzer must catch — lost reservations, stale references after release,
 // retained buffers after channel/goroutine handoff — plus the defer,
 // owner-object, and interprocedural-release shapes it must accept.
+//
+// The single-function buffer shapes (plain and branch leaks, double Put,
+// discarded Get, overwrite before release, and the ShadowPool
+// Acquire/Grow/Release shapes) came over from the retired poolpair analyzer's
+// fixture.
 package regmemtest
 
 import (
@@ -85,7 +90,8 @@ func reserveHandoff(b *ibverbs.MemoryBudget) *owner {
 // --- stale buffer references ---
 
 type stream struct {
-	buf *bufpool.Buffer
+	buf  *bufpool.Buffer
+	pool *bufpool.ShadowPool
 }
 
 func useAfterRelease(p *bufpool.NativePool) {
@@ -121,6 +127,79 @@ func retainAfterGo(p *bufpool.NativePool, sink func(*bufpool.Buffer)) {
 func sendOK(p *bufpool.NativePool, ch chan *bufpool.Buffer) {
 	b := p.Get(64)
 	ch <- b // handoff without retention: fine
+}
+
+// --- single-function buffer pairing ---
+
+func bufOK(p *bufpool.NativePool) {
+	b := p.Get(64)
+	copy(b.Data, b.Data)
+	p.Put(b)
+}
+
+func bufLeak(p *bufpool.NativePool) {
+	b := p.Get(64) // want `not released on any path`
+	_ = b.Data
+	return
+}
+
+func branchLeak(p *bufpool.NativePool, flag bool) {
+	b := p.Get(64) // want `released on some paths but leaks on others`
+	if flag {
+		p.Put(b)
+	}
+	return
+}
+
+func errPathOK(p *bufpool.NativePool, flag bool) error {
+	b := p.Get(64)
+	if flag {
+		p.Put(b)
+		return errBad
+	}
+	p.Put(b)
+	return nil
+}
+
+func bufDouble(p *bufpool.NativePool) {
+	b := p.Get(64)
+	p.Put(b)
+	p.Put(b) // want `released twice`
+}
+
+func bufDiscard(p *bufpool.NativePool) {
+	p.Get(64)     // want `result of Get discarded`
+	_ = p.Get(64) // want `result of Get discarded`
+}
+
+func overwrite(p *bufpool.NativePool) {
+	b := p.Get(8)
+	b = p.Get(16) // want `overwritten before being released`
+	p.Put(b)
+}
+
+// --- ShadowPool Acquire / Grow / Release ---
+
+func shadowLeak(p *bufpool.ShadowPool, key int) {
+	b := p.Acquire(key) // want `not released on any path`
+	b.Data[0] = 1
+}
+
+func grow(p *bufpool.ShadowPool, key int) {
+	b := p.Acquire(key)
+	b = p.Grow(b, 256) // Grow releases b and hands back a fresh obligation
+	p.Release(b)
+}
+
+func fieldStore(s *stream, key int) {
+	s.buf = s.pool.Acquire(key)     // stored into a field: escapes with it
+	s.buf = s.pool.Grow(s.buf, 128) // Grow releases the old buffer; the result escapes into the field
+}
+
+func deferred(p *bufpool.ShadowPool, key int) {
+	b := p.Acquire(key)
+	defer p.Release(b)
+	b.Data[0] = 1
 }
 
 // --- obligations through calls ---
